@@ -119,3 +119,18 @@ class BufferCache:
         self.misses = 0
         self.dirty_evictions = 0
         self.clean_evictions = 0
+
+    def clone_state(self) -> dict[int, bool]:
+        """A copy of the contents: block -> dirty, in LRU order."""
+        return dict(self._lru)
+
+    def restore_state(self, state: dict[int, bool]) -> None:
+        """Replace the contents with a copy of ``state`` and zero the stats.
+
+        ``state`` is what :meth:`clone_state` returned, so it keeps its
+        LRU order and dirty bits; the caller's dict is never aliased.
+        """
+        if len(state) > self.capacity_units:
+            raise ValueError("state holds more units than the cache capacity")
+        self._lru = dict(state)
+        self.reset_stats()

@@ -42,6 +42,17 @@ from repro.sim.stats import Counter
 #: this size regardless of the block-unit resolution (DESIGN.md §6).
 PHYSICAL_BLOCK_BYTES = 8 * 1024
 
+#: Transaction plans the prewarm replays after its analytic fill: one
+#: value for :meth:`OdbSystem.run` and for direct callers of
+#: :meth:`OdbSystem.prewarm_buffer_cache`.
+PREWARM_PLANS = 4000
+
+#: One-slot memo of the last prewarmed buffer cache: ``(key, state)``
+#: with ``state`` the cache's block -> dirty dict in LRU order (see
+#: :meth:`OdbSystem.prewarm_buffer_cache`).
+_prewarm_memo: Optional[
+    tuple[tuple["OdbConfig", int], dict[int, bool]]] = None
+
 
 @dataclass(frozen=True)
 class OdbConfig:
@@ -226,14 +237,29 @@ class OdbSystem:
 
     # -- warm-up --------------------------------------------------------------
 
-    def prewarm_buffer_cache(self, plans: int = 1000) -> None:
+    def prewarm_buffer_cache(self, plans: int = PREWARM_PLANS) -> None:
         """Populate the buffer cache with its steady-state working set.
 
         Stands in for the paper's 20-minute warm-up: an analytic
         popularity fill loads the cache to capacity with the hottest
         units (see :mod:`repro.odb.popularity`), then a short plan replay
-        freshens LRU recency with realistic access interleaving.
+        freshens LRU recency with realistic access interleaving.  Call it
+        once, on a freshly built system, as :meth:`run` does.
+
+        The result reads the seed's ``"prewarm"`` stream, the block
+        space, the mix, the remote-touch probability and the cache
+        capacity, never the CPI pair the fixed point refines.  So the
+        state is memoized in one slot keyed on the config with its CPI
+        normalized, plus ``plans``: the later fixed-point rounds of a
+        configuration restore a copy instead of replaying (DESIGN.md
+        §13).  Skipping the replay leaves every other random stream
+        untouched, since each named stream is seeded on its own.
         """
+        global _prewarm_memo
+        key = (self.config.with_cpi(1.0, 1.0), plans)
+        if _prewarm_memo is not None and _prewarm_memo[0] == key:
+            self.buffer_cache.restore_state(_prewarm_memo[1])
+            return
         from repro.odb.popularity import steady_state_fill
         from repro.odb.transactions import plan_transaction
 
@@ -257,6 +283,7 @@ class OdbSystem:
                 if not hit:
                     install(block_id, dirty=write)
         cache.reset_stats()
+        _prewarm_memo = (key, cache.clone_state())
 
     # -- measurement -----------------------------------------------------------
 
@@ -313,7 +340,7 @@ class OdbSystem:
             entry[3]._process()
 
     def run(self, warmup_txns: int = 500, measure_txns: int = 2000,
-            prewarm_plans: int = 4000,
+            prewarm_plans: int = PREWARM_PLANS,
             time_limit_s: float = 3600.0) -> SystemMetrics:
         """Warm up, measure, and summarize.
 

@@ -122,6 +122,39 @@ class TestStats:
         assert BufferCache(4).hit_rate == 0.0
 
 
+class TestCloneRestore:
+    def test_round_trip_keeps_order_and_dirty_bits(self):
+        cache = BufferCache(4)
+        cache.install(3, dirty=True)
+        cache.install(1)
+        cache.install(2)
+        cache.lookup(3)
+        state = cache.clone_state()
+        other = BufferCache(4)
+        other.lookup(9)
+        other.install(9)
+        other.restore_state(state)
+        assert list(other.clone_state().items()) == [(1, False), (2, False),
+                                                     (3, True)]
+        assert (other.hits, other.misses) == (0, 0)
+        assert (other.dirty_evictions, other.clean_evictions) == (0, 0)
+
+    def test_states_are_copies(self):
+        cache = BufferCache(4)
+        cache.install(1)
+        state = cache.clone_state()
+        other = BufferCache(4)
+        other.restore_state(state)
+        other.touch_write(1)
+        other.install(2)
+        cache.install(5)
+        assert state == {1: False}
+
+    def test_restore_over_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            BufferCache(2).restore_state({1: False, 2: False, 3: True})
+
+
 class TestProperties:
     @given(st.integers(min_value=1, max_value=30),
            st.lists(st.tuples(st.integers(0, 100), st.booleans()),
